@@ -1,8 +1,7 @@
 """Static-analysis gate: the trust-boundary linter must stay clean.
 
-Runs :mod:`repro.lint` — taint, enclave-boundary, determinism and
-layering checkers plus the whole-program PDG pass
-(``taint-interprocedural`` / ``taint-field-flow``) — over
+Runs :mod:`repro.lint` — the whole-program PDG taint pass plus the
+span-key, enclave-boundary, determinism and layering checkers — over
 ``src/repro`` and fails on any finding that is not recorded (with a
 reviewed justification) in the repo-root ``lint-baseline.txt``.
 

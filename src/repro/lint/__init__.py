@@ -8,12 +8,21 @@ spirit of DoubleX's data-flow analysis for browser-extension privacy
 module under ``src/repro`` — no imports, no execution, no
 dependencies beyond the standard library:
 
-- :mod:`repro.lint.taint` — query-text source→sink flow tracking.
-  Sources are query-text bindings (``.text``/``.query`` attribute
-  reads, ``query``-named parameters); sinks are the shared registry
-  :mod:`repro.obs.sinks` (wire egress, print/logging, exception
-  messages, span/metric attributes). Enclave-trusted scope and
-  adversary-model packages are sanctioned.
+- taint — query-text source→sink flow tracking, one whole-program
+  engine: a program-dependence graph per file
+  (:mod:`repro.lint.pdg`), linked through the import table
+  (:mod:`repro.lint.linking`) and walked from every source to every
+  sink (:mod:`repro.lint.paths`). Sources are query-text bindings
+  (``.text``/``.query`` attribute reads, ``query``-named
+  parameters); sinks are the shared registry :mod:`repro.obs.sinks`
+  (wire egress, print/logging, exception messages, span/metric
+  attributes); the vocabulary lives in :mod:`repro.lint.taint`.
+  Enclave-trusted scope and adversary-model packages are
+  sanctioned. A direct flow reports the sink's rule
+  (``taint-print``, ``taint-wire``, ...); a flow across function,
+  method or module boundaries reports ``taint-interprocedural`` or
+  ``taint-field-flow`` with a full source→sink witness path. The
+  per-module ``span-forbidden-key`` check rides along.
 - :mod:`repro.lint.enclave` — the ecall/ocall discipline of
   :mod:`repro.sgx`: enclave-private state (``self.trusted``) only
   inside ``@ecall`` gates, no imports of enclave-internal symbols, no
@@ -26,12 +35,6 @@ dependencies beyond the standard library:
   never import ``cli``/``experiments``/``baselines``/``perf``; the
   observability subsystem is only reachable through its facade).
 
-On top of the per-module checkers, a *whole-program* pass builds a
-program-dependence graph per file (:mod:`repro.lint.pdg`), links the
-modules through the import table (:mod:`repro.lint.linking`) and
-walks taint across function, method and module boundaries
-(:mod:`repro.lint.paths`) — rules ``taint-interprocedural`` and
-``taint-field-flow``, each carrying a full source→sink witness path.
 Per-file analysis fans out over a process pool (``repro lint
 --jobs N``); findings are byte-identical for any ``N``.
 

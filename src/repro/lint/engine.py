@@ -13,10 +13,10 @@ per-module checkers, and per-module PDG construction
 (:mod:`repro.lint.pdg`) — is embarrassingly parallel and fans out
 over a ``multiprocessing`` pool when ``jobs > 1`` (the unit of work
 is one file; results come back as plain data). The *whole-program*
-phase — PDG linking (:mod:`repro.lint.linking`) and source→sink path
-queries (:mod:`repro.lint.paths`) — runs in the parent. Results are
-assembled in file order and sorted, so the findings are byte-
-identical for any ``jobs`` value.
+phase — PDG linking (:mod:`repro.lint.linking`) and the source→sink
+path queries that report every taint rule (:mod:`repro.lint.paths`)
+— runs in the parent. Results are assembled in file order and
+sorted, so the findings are byte-identical for any ``jobs`` value.
 """
 
 from __future__ import annotations
@@ -62,6 +62,20 @@ def _module_name(relpath: Path) -> str:
     return ".".join(parts)
 
 
+def _file_list(root: Path,
+               paths: Optional[Sequence[Path]] = None) -> List[Path]:
+    root = Path(root).resolve()
+    if paths:
+        files = []
+        for path in (Path(p).resolve() for p in paths):
+            files.extend(sorted(path.rglob("*.py"))
+                         if path.is_dir() else [path])
+        files.sort()
+    else:
+        files = sorted(root.rglob("*.py"))
+    return [file for file in files if "__pycache__" not in file.parts]
+
+
 def collect_modules(root: Path,
                     paths: Optional[Sequence[Path]] = None
                     ) -> List[SourceModule]:
@@ -72,18 +86,8 @@ def collect_modules(root: Path,
     aborting the run.
     """
     root = Path(root).resolve()
-    if paths:
-        files = []
-        for path in (Path(p).resolve() for p in paths):
-            files.extend(sorted(path.rglob("*.py"))
-                         if path.is_dir() else [path])
-        files.sort()
-    else:
-        files = sorted(root.rglob("*.py"))
     modules: List[SourceModule] = []
-    for file in files:
-        if "__pycache__" in file.parts:
-            continue
+    for file in _file_list(root, paths=paths):
         relpath = file.relative_to(root)
         source = file.read_text(encoding="utf-8")
         try:
@@ -109,9 +113,9 @@ def default_checkers() -> List[Checker]:
     from repro.lint.determinism import check_determinism
     from repro.lint.enclave import check_enclave_boundary
     from repro.lint.layering import check_layering
-    from repro.lint.taint import check_taint
+    from repro.lint.taint import check_span_keys
 
-    return [check_taint, check_enclave_boundary, check_determinism,
+    return [check_span_keys, check_enclave_boundary, check_determinism,
             check_layering]
 
 
@@ -146,58 +150,22 @@ def _analyze_file(work: Tuple[str, str]) -> _FileResult:
     return (module.relpath, collected, pragmas, build_module_pdg(module))
 
 
-def _file_list(root: Path,
-               paths: Optional[Sequence[Path]] = None) -> List[Path]:
-    root = Path(root).resolve()
-    if paths:
-        files = []
-        for path in (Path(p).resolve() for p in paths):
-            files.extend(sorted(path.rglob("*.py"))
-                         if path.is_dir() else [path])
-        files.sort()
-    else:
-        files = sorted(root.rglob("*.py"))
-    return [file for file in files if "__pycache__" not in file.parts]
-
-
 def run_lint(root: Path,
              paths: Optional[Sequence[Path]] = None,
-             checkers: Optional[Sequence[Checker]] = None,
              jobs: int = 1) -> List[Finding]:
     """Run all checkers over *root*; returns pragma-filtered findings.
 
-    The default run (no explicit *checkers*) also builds the
-    whole-program PDG and reports interprocedural and field-mediated
-    source→sink flows (``taint-interprocedural``/``taint-field-flow``)
-    with witness paths; passing *checkers* runs exactly those, with no
-    interprocedural pass (the fixture tests rely on this to pin the
-    per-function checker's blind spots). ``jobs > 1`` fans per-file
-    analysis out over a process pool; output is byte-identical for
-    any value.
+    Besides the per-module checkers, every run builds the
+    whole-program PDG and reports each source→sink flow it finds:
+    direct ones under their sink's rule (``taint-print``,
+    ``taint-wire``, ...), interprocedural and field-mediated ones as
+    ``taint-interprocedural``/``taint-field-flow`` with witness
+    paths. ``jobs > 1`` fans per-file analysis out over a process
+    pool; output is byte-identical for any value.
 
     Baseline application is the caller's concern (the CLI and the CI
     gate both want to report grandfathered counts differently).
     """
-    if checkers is not None:
-        modules = collect_modules(root, paths=paths)
-        findings: List[Finding] = []
-        for module in modules:
-            if module.lines and \
-                    module.lines[0].startswith("__parse_error__"):
-                findings.append(Finding(
-                    path=module.relpath, line=0, rule="parse-error",
-                    message=module.lines[0].split(": ", 1)[1]))
-                continue
-            collected = []
-            for checker in checkers:
-                collected.extend(checker(module))
-            pragmas = scan_pragmas(module.lines)
-            if pragmas:
-                collected = [finding for finding in collected
-                             if not pragma_allows(pragmas, finding)]
-            findings.extend(collected)
-        return sorted(set(findings))
-
     root = Path(root).resolve()
     work = [(str(root), str(file))
             for file in _file_list(root, paths=paths)]
@@ -213,7 +181,7 @@ def run_lint(root: Path,
     else:
         results = [_analyze_file(item) for item in work]
 
-    findings = []
+    findings: List[Finding] = []
     pragma_tables = {}
     pdgs = []
     for relpath, collected, pragmas, pdg in results:

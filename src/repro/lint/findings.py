@@ -18,7 +18,7 @@ from typing import Iterable, List, Tuple
 #: contract between checkers, docs and tests: every finding's ``rule``
 #: must be a key here (asserted by ``tests/lint/test_findings.py``).
 RULES = {
-    # -- taint (repro.lint.taint) ------------------------------------
+    # -- direct taint flows (repro.lint.pdg / paths) -----------------
     "taint-wire": (
         "query text flows into a wire egress call outside the enclave",
         "seal the payload inside an @ecall before it reaches "
@@ -37,7 +37,7 @@ RULES = {
     "taint-telemetry": (
         "query text flows into a span or metric attribute",
         "attach repro.obs.query_hash_bucket(text), never the text"),
-    # -- interprocedural taint (repro.lint.pdg / linking / paths) ----
+    # -- taint across calls and fields (repro.lint.pdg / paths) ------
     "taint-interprocedural": (
         "query text reaches an adversary-visible sink across function "
         "or module boundaries",

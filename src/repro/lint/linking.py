@@ -18,8 +18,8 @@ A resolved call contributes **parameter edges** (caller-argument
 labels → callee parameter nodes; ``*args``/``**kwargs`` labels
 over-approximate to *every* parameter) and a **return edge**
 (callee return node → the call-site value node). Resolution is
-deliberately partial: unresolvable calls stay sanitizer boundaries
-(the intra contract), calls into declassifiers
+deliberately partial: unresolvable calls stay sanitizer boundaries,
+calls into declassifiers
 (:data:`~repro.lint.pdg.DECLASSIFIER_FUNCS`, e.g. the salted
 ``query_hash_bucket``) and into exempt modules (the trusted enclave
 closure, adversary packages) are dropped — those are exactly the
@@ -45,7 +45,8 @@ class ProgramGraph:
     adjacency: Dict[Node, List[Tuple[Node, str, Hop]]] = field(
         default_factory=dict)
     sources: Dict[Node, Hop] = field(default_factory=dict)
-    sink_info: Dict[Node, Tuple[str, Hop]] = field(default_factory=dict)
+    sink_info: Dict[Node, Tuple[str, str, Hop]] = field(
+        default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
 
     def add_edge(self, src: Node, dst: Node, kind: str, hop: Hop) -> None:

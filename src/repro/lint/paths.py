@@ -7,9 +7,11 @@ most one finding, carried by its *shortest* witness path (ties break
 deterministically via sorted adjacency and source enqueue order), and
 the path's shape picks the rule:
 
-- a **single edge** is a flow the per-function checker already covers
-  (the source expression feeds the sink directly) — skipped here, the
-  intra pass stays the fast pre-filter;
+- a **single edge** (the source expression feeds the sink directly,
+  inside one function) → the sink's own rule: ``taint-print``,
+  ``taint-log``, ``taint-wire``, ``taint-exception`` or
+  ``taint-telemetry``, with no witness (the finding's line is the
+  whole story);
 - a path through a **field node** (``self._q = query`` …
   ``print(self._q)``) → ``taint-field-flow``;
 - any other multi-edge path crosses a call/return boundary →
@@ -72,16 +74,13 @@ def _walk_back(parents, node: Node) -> List[Tuple[Node, str, Optional[Hop]]]:
     return path
 
 
-def _classify(path) -> Optional[str]:
-    """Rule id for a path, or None when the intra pass covers it."""
+def _classify(path) -> str:
+    """Rule id for a multi-edge path (every such path crosses a call,
+    a return or a field write)."""
     edges = [kind for _node, kind, _hop in path[1:]]
-    if len(edges) <= 1:
-        return None  # direct source→sink: the per-function rule fires
     if "field-write" in edges:
         return "taint-field-flow"
-    if "call" in edges or "ret" in edges:
-        return "taint-interprocedural"
-    return None
+    return "taint-interprocedural"
 
 
 def _chain(graph: ProgramGraph, path) -> List[str]:
@@ -125,17 +124,20 @@ def _field_label(path) -> Optional[str]:
 
 
 def query_paths(graph: ProgramGraph) -> List[Finding]:
-    """Every interprocedural / field-mediated source→sink flow."""
+    """Every reachable source→sink flow, one finding per sink."""
     parents = _bfs(graph)
     findings: List[Finding] = []
     for sink in sorted(graph.sink_info, key=node_key):
         if sink not in parents:
             continue
         path = _walk_back(parents, sink)
-        rule = _classify(path)
-        if rule is None:
+        sink_rule, descr, sink_hop = graph.sink_info[sink]
+        if len(path) == 2:  # the source feeds the sink directly
+            findings.append(Finding(
+                path=sink_hop[0], line=sink_hop[1], rule=sink_rule,
+                message=f"query text flows into {descr}"))
             continue
-        descr, sink_hop = graph.sink_info[sink]
+        rule = _classify(path)
         source = path[0][0]
         source_hop = graph.sources.get(source)
         source_desc = source_hop[2] if source_hop is not None \

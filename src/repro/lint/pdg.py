@@ -1,9 +1,9 @@
 """Per-module program-dependence-graph construction.
 
-The per-function checker (:mod:`repro.lint.taint`) stops at every
-call boundary; this module builds the structure that lets the linter
-walk *through* them, in the spirit of DoubleX's PDG for browser
-extensions (Fass et al., CCS 2021). For one module it records:
+This module builds the structure the linter's taint analysis walks,
+within a function and *through* calls, in the spirit of DoubleX's PDG
+for browser extensions (Fass et al., CCS 2021). For one module it
+records:
 
 - **def-use chains** — which *taint labels* each local name carries,
   through assignments, augmented assigns, tuple unpacking, loops,
@@ -17,11 +17,12 @@ extensions (Fass et al., CCS 2021). For one module it records:
   argument, so the linker can add caller-argument → callee-parameter
   and callee-return → call-site-value edges;
 - **sources** — ``SOURCE_ATTRS`` attribute reads and
-  ``SOURCE_PARAMS``-named parameters, exactly the per-function
-  checker's definition;
+  ``SOURCE_PARAMS``-named parameters (the vocabulary of
+  :mod:`repro.lint.taint`);
 - **sinks** — label flows into the shared :mod:`repro.obs.sinks`
   registry (wire egress, print/logging, raised exception messages,
-  span/metric attribute values).
+  span/metric attribute values), each tagged with the rule a direct
+  source→sink flow into it reports.
 
 Labels are *nodes* of the eventual whole-program graph; an expression
 evaluates to a frozenset of them. Everything in a :class:`ModulePDG`
@@ -29,13 +30,13 @@ is plain data (tuples, strings, ints) so per-file construction can
 fan out over a ``multiprocessing`` pool and the results pickle back
 to the linking parent.
 
-Sanitizer contract (same as the per-function pass): calls propagate
-labels only through known string operations; every other unresolved
-call is a sanitizer boundary, and the linker additionally drops edges
-into declassifier functions (``query_hash_bucket``) and the trusted
-enclave closure (``repro.sgx``/``repro.core.enclave``). Exempt
-modules (trusted + adversary packages) contribute no sources, sinks
-or call sites at all.
+Sanitizer contract: calls propagate labels only through known string
+operations; every other unresolved call is a sanitizer boundary, and
+the linker additionally drops edges into declassifier functions
+(``query_hash_bucket``) and the trusted enclave closure
+(``repro.sgx``/``repro.core.enclave``). Exempt modules (trusted +
+adversary packages) contribute no sources, sinks or call sites at
+all.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ Hop = Tuple[str, int, str]
 
 Labels = FrozenSet[Node]
 _EMPTY: Labels = frozenset()
+
+# statement kinds newer than the oldest supported Python (3.9)
+_MATCH = getattr(ast, "Match", ())
+_TRY = (ast.Try,) + ((ast.TryStar,) if hasattr(ast, "TryStar") else ())
 
 
 def node_key(node: Node) -> Tuple[str, ...]:
@@ -120,7 +125,8 @@ class ModulePDG:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     edges: List[Tuple[Node, Node, str, Hop]] = field(default_factory=list)
     sources: Dict[Node, Hop] = field(default_factory=dict)
-    sink_info: Dict[Node, Tuple[str, Hop]] = field(default_factory=dict)
+    sink_info: Dict[Node, Tuple[str, str, Hop]] = field(
+        default_factory=dict)   # sink -> (rule, descr, hop)
     callsites: List[CallSite] = field(default_factory=list)
 
 
@@ -171,8 +177,8 @@ def _collect_imports(module: SourceModule
 class _FunctionBuilder:
     """Walks one function body, mapping names to label sets and
     recording edges / call sites / sources / sinks into the module
-    builder. Statements are walked twice (the intra checker's loop
-    stabilization); all recording is idempotent — nodes are keyed by
+    builder. Statements are walked twice (so loop-carried flows
+    stabilize); all recording is idempotent — nodes are keyed by
     source position, edges dedupe through a set."""
 
     def __init__(self, mb: "_ModuleBuilder", qual: str, name: str,
@@ -243,11 +249,11 @@ class _FunctionBuilder:
                               f"return of {self.name}"))
         elif isinstance(stmt, ast.Raise):
             self.raise_stmt(stmt)
-        elif isinstance(stmt, ast.For):
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             self.bind(stmt.target, self.eval(stmt.iter))
             self.walk(stmt.body)
             self.walk(stmt.orelse)
-        elif isinstance(stmt, ast.With):
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 labels = self.eval(item.context_expr)
                 if item.optional_vars is not None:
@@ -257,7 +263,18 @@ class _FunctionBuilder:
             self.eval(stmt.test)
             self.walk(stmt.body)
             self.walk(stmt.orelse)
-        elif isinstance(stmt, ast.Try):
+        elif isinstance(stmt, _MATCH):
+            subject = self.eval(stmt.subject)
+            for case in stmt.cases:
+                # every name a pattern captures holds (part of) the subject
+                for node in ast.walk(case.pattern):
+                    name = getattr(node, "name", None) \
+                        or getattr(node, "rest", None)
+                    if name:
+                        self.scope[name] = subject
+                self.eval(case.guard)
+                self.walk(case.body)
+        elif isinstance(stmt, _TRY):
             self.walk(stmt.body)
             for handler in stmt.handlers:
                 self.walk(handler.body)
@@ -323,7 +340,8 @@ class _FunctionBuilder:
         labels: Labels = _EMPTY
         for arg in list(call.args) + [kw.value for kw in call.keywords]:
             labels |= self.eval(arg)
-        self.sink(call, "a raised exception message", labels)
+        self.sink(call, "taint-exception", "a raised exception message",
+                  labels)
 
     # -- expression labels --------------------------------------------
 
@@ -488,13 +506,14 @@ class _FunctionBuilder:
 
     # -- sinks --------------------------------------------------------
 
-    def sink(self, node: ast.AST, descr: str, labels: Labels) -> None:
+    def sink(self, node: ast.AST, rule: str, descr: str,
+             labels: Labels) -> None:
         if not labels or self.mb.exempt:
             return
         sink_node = ("sink", self.mb.relpath, node.lineno,
                      node.col_offset, descr)
         self.mb.pdg.sink_info[sink_node] = (
-            descr, (self.mb.relpath, node.lineno, self.name))
+            rule, descr, (self.mb.relpath, node.lineno, self.name))
         for label in sorted(labels, key=node_key):
             self.mb.edge(label, sink_node, "sink",
                          (self.mb.relpath, node.lineno, descr))
@@ -504,31 +523,37 @@ class _FunctionBuilder:
                     everything: Labels) -> None:
         if isinstance(func, ast.Name):
             if func.id == "print":
-                self.sink(node, "print()", everything)
+                self.sink(node, "taint-print", "print()", everything)
             return
         if not isinstance(func, ast.Attribute):
             return
         if _is_logger_call(func):
-            self.sink(node, f"{func.value.id}.{func.attr}()", everything)
+            self.sink(node, "taint-log", f"{func.value.id}.{func.attr}()",
+                      everything)
         if func.attr in sinks.WIRE_EGRESS_CALLS:
-            self.sink(node, f"wire egress .{func.attr}()", everything)
+            self.sink(node, "taint-wire", f"wire egress .{func.attr}()",
+                      everything)
         if (func.attr == sinks.WIRE_ENCODER[1]
                 and isinstance(func.value, ast.Name)
                 and func.value.id == sinks.WIRE_ENCODER[0]):
-            self.sink(node, "wire.encode()", everything)
+            self.sink(node, "taint-wire", "wire.encode()", everything)
         if func.attr == "set_attribute" and len(pos) > 1:
-            self.sink(node, "set_attribute() value", pos[1])
+            self.sink(node, "taint-telemetry", "set_attribute() value",
+                      pos[1])
         elif func.attr == "set_attributes":
             for labels in pos:
-                self.sink(node, "set_attributes() value", labels)
+                self.sink(node, "taint-telemetry",
+                          "set_attributes() attribute value", labels)
         elif func.attr in sinks.SPAN_FACTORY_CALLS:
             labels = kw.get("attributes", _EMPTY)
-            self.sink(node, f"{func.attr}() attribute value", labels)
+            self.sink(node, "taint-telemetry",
+                      f"{func.attr}() attribute value", labels)
         elif func.attr in sinks.METRIC_FACTORY_CALLS:
             out: Labels = _EMPTY
             for labels in kw.values():
                 out |= labels
-            self.sink(node, f"{func.attr}() label value", out)
+            self.sink(node, "taint-telemetry",
+                      f"{func.attr}() label value", out)
 
 
 def _target_names(target: ast.AST) -> List[str]:

@@ -1,9 +1,9 @@
 """Known-bad: query text crosses a function boundary before leaking.
 
 ``handle`` receives the query under a source parameter name and hands
-it to ``forward`` under a neutral name (``message``); the per-function
-checker sees no source inside ``forward`` and no sink inside
-``handle``, so only the whole-program PDG pass catches the flow.
+it to ``forward`` under a neutral name (``message``); no one function
+holds both a source and a sink, so only a path through the call
+(``taint-interprocedural``) reports the flow.
 """
 
 

@@ -76,24 +76,7 @@ def test_trusted_closure_spares_the_gated_method():
     assert "seal" not in findings[0].message
 
 
-# -- the PDG fixtures: blind spots of the per-function checker -------
-
-def _intra_only(name):
-    """Run just the per-function taint checker on one fixture."""
-    from repro.lint.taint import check_taint
-
-    path = FIXTURE_ROOT / "repro" / "core" / name
-    return run_lint(root=FIXTURE_ROOT, paths=[path],
-                    checkers=[check_taint])
-
-
-@pytest.mark.parametrize("name", ["bad_interproc.py",
-                                  "bad_field_flow.py"])
-def test_per_function_checker_alone_misses_the_pdg_fixtures(name):
-    # this is the gap the whole-program pass exists to close: the
-    # intra checker sees no source-and-sink inside any one function
-    assert _intra_only(name) == []
-
+# -- the PDG fixtures: flows across a call or through a field --------
 
 def test_interproc_witness_names_every_hop():
     finding = _lint_one("bad_interproc.py")[0]

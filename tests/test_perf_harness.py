@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from benchmarks import check_regression
+from benchmarks import check_profile, check_regression
 from repro import perf
 from repro.cli import main as cli_main
 
@@ -178,6 +178,36 @@ class TestBaselineIO:
         assert "indexed speedup" in report
         assert "events/sec" in report
         assert "searches/sec" in report
+
+
+class TestCommittedBaseline:
+    """The committed BENCH_pipeline.json holds every section the
+    ``benchmarks/check_*.py`` gates read, so a regeneration that drops
+    one fails here instead of in the gate."""
+
+    @pytest.fixture(scope="class")
+    def committed(self):
+        return perf.load_baseline(check_regression.DEFAULT_BASELINE)
+
+    def test_meta_params_replay_through_run_all(self, committed):
+        # check_regression passes these to run_all, which rejects
+        # unknown parameters
+        assert set(committed["meta"]["params"]) <= set(perf.DEFAULT_PARAMS)
+
+    def test_every_gated_throughput_metric_is_recorded(self, committed):
+        # perf.compare silently skips a section the baseline lacks
+        missing = [f"{section}.{key}"
+                   for section, key in perf.THROUGHPUT_KEYS
+                   if key not in committed.get(section, {})]
+        assert missing == []
+
+    def test_profile_section_replays_through_check_profile(self, committed):
+        section = committed.get("profile")
+        assert section is not None, \
+            "restore it with `python -m benchmarks.check_profile --update`"
+        for name in check_profile.SECTION_PARAMS + ("scenario",):
+            assert name in section, name
+        assert section["subsystems"]
 
 
 class TestCompare:
