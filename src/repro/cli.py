@@ -282,15 +282,13 @@ def _cmd_perf(args) -> int:
         return 2
     print(perf.format_report(results))
     if not args.no_write:
-        if only is not None and os.path.exists(args.output):
-            # Partial run: refresh only the measured sections, keep the
-            # rest of the committed baseline untouched.
-            merged = perf.load_baseline(args.output)
-            merged.update(results)
-            results_to_write = merged
-        else:
-            results_to_write = results
-        perf.write_baseline(results_to_write, args.output)
+        baseline = {}
+        if os.path.exists(args.output):
+            # Refresh only the measured sections and keep the rest of
+            # the committed baseline, including opt-in sections such
+            # as `profile` that a default run does not measure.
+            baseline = perf.load_baseline(args.output)
+        perf.write_baseline({**baseline, **results}, args.output)
         print(f"\nwrote {args.output}")
     sens = results.get("sensitivity")
     if sens is not None and not sens["scores_bit_identical"]:
@@ -627,17 +625,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--only", action="append", default=None, metavar="SECTION",
         help="run only these bench sections (repeatable or "
              "comma-separated; known: sensitivity, simulator, search, "
-             "engine_scaling, shard_scaling, monitor, lint, profile). "
-             "With --output, the "
-             "measured sections are merged into an existing baseline "
-             "file")
+             "engine_scaling, shard_scaling, monitor, lint, profile)")
     perf_parser.add_argument(
         "--profile", action="store_true",
         help="include the deterministic-profiler attribution section "
              "(excluded from default runs; implies nothing about the "
              "other sections)")
     perf_parser.add_argument("--output", default="BENCH_pipeline.json",
-                             help="baseline path (default ./BENCH_pipeline.json)")
+                             help="baseline path (default "
+                                  "./BENCH_pipeline.json); the measured "
+                                  "sections are merged into an existing "
+                                  "file, every other section is kept")
     perf_parser.add_argument("--no-write", action="store_true",
                              help="print the report without writing the file")
 

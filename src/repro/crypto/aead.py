@@ -1,26 +1,30 @@
-"""Authenticated encryption (encrypt-then-MAC over an HMAC-CTR keystream).
+"""Authenticated encryption (encrypt-then-MAC over a SHAKE-256 keystream).
 
 CYCLOSA encrypts every inter-enclave message and every enclave-to-search-
-engine payload. We build an AEAD from the primitives in
+engine payload. We build an AEAD from stdlib primitives and
 :mod:`repro.crypto.hashes`:
 
-- The keystream is ``HMAC-SHA256(enc_key, nonce || counter)`` blocks
-  XORed with the plaintext (a CTR-mode stream cipher with SHA-256 as the
-  block function).
+- The keystream is ``SHAKE-256(enc_key || nonce)`` squeezed to the
+  plaintext length in one call and XORed with the plaintext.
 - Integrity is an HMAC-SHA256 tag over ``nonce || associated_data ||
   ciphertext`` under an independent MAC key; both keys are derived from
   the AEAD key with distinct HKDF labels.
 
-The construction is IND-CPA + INT-CTXT under standard PRF assumptions —
-the point here is that every byte that crosses a trust boundary in the
-simulation is genuinely encrypted and authenticated, so tests can assert
-that tampering or key mismatch is *detected* rather than trusted.
+Security argument: SHAKE-256 keyed by prefixing a secret is a PRF (the
+sponge's capacity hides the key; there is no length-extension), and the
+input ``enc_key || nonce`` is unambiguous because both parts have a
+fixed length (32 B HKDF subkey, 16 B nonce). A fresh nonce per message
+therefore gives an independent pseudorandom pad, so the stream cipher
+is IND-CPA; encrypt-then-MAC with an independent HMAC key adds
+INT-CTXT, and together they give IND-CCA. The point here is that every
+byte that crosses a trust boundary in the simulation is genuinely
+encrypted and authenticated, so tests can assert that tampering or key
+mismatch is *detected* rather than trusted.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac as _hmac
 import os
 from dataclasses import dataclass, field
 
@@ -70,24 +74,7 @@ class AeadKey:
 
 
 def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
-    # Equivalent to concatenating
-    # ``hmac_sha256(enc_key, nonce, counter)`` blocks, but the HMAC
-    # state over key and nonce is absorbed once and cloned per block —
-    # every block then only hashes its 8 counter bytes. Sealing large
-    # payloads (replica scatter-gather partials) is keystream-bound, so
-    # this path is deliberately allocation-light.
-    base = _hmac.new(enc_key, nonce, hashlib.sha256)
-    blocks = []
-    produced = 0
-    counter = 0
-    while produced < length:
-        block_mac = base.copy()
-        block_mac.update(counter.to_bytes(8, "big"))
-        block = block_mac.digest()
-        blocks.append(block)
-        produced += len(block)
-        counter += 1
-    return b"".join(blocks)[:length]
+    return hashlib.shake_256(enc_key + nonce).digest(length)
 
 
 def _xor_bytes(data: bytes, stream: bytes) -> bytes:

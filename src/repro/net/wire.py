@@ -6,6 +6,13 @@ embed raw byte strings (keys, quotes, nonces). This module provides a
 deterministic, reversible encoding: JSON with sorted keys, where bytes
 are tagged as ``{"__bytes__": "<hex>"}``.
 
+The tagging lives in :mod:`json`'s own hooks, so the walk over the
+structure stays in the C encoder and decoder: the encoder's ``default``
+turns ``bytes``/``bytearray`` into the tag dict, and the decoder's
+``object_hook`` turns a dict whose sole key is the tag back into
+``bytes``. Anything else the encoder cannot serialise raises
+:class:`TypeError`.
+
 Determinism matters twice: encrypted sizes must be stable for the
 traffic-analysis experiments, and hashes over encoded structures (e.g.
 attestation report data) must be reproducible.
@@ -19,32 +26,28 @@ from typing import Any
 _BYTES_TAG = "__bytes__"
 
 
-def _encode_value(value: Any) -> Any:
+def _tag_bytes(value: Any) -> Any:
     if isinstance(value, (bytes, bytearray)):
-        return {_BYTES_TAG: bytes(value).hex()}
-    if isinstance(value, dict):
-        return {key: _encode_value(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode_value(item) for item in value]
+        return {_BYTES_TAG: value.hex()}
+    raise TypeError(f"{type(value).__name__} is not wire-encodable")
+
+
+def _untag_bytes(value: dict) -> Any:
+    if len(value) == 1 and _BYTES_TAG in value:
+        return bytes.fromhex(value[_BYTES_TAG])
     return value
 
 
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        if set(value) == {_BYTES_TAG}:
-            return bytes.fromhex(value[_BYTES_TAG])
-        return {key: _decode_value(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_decode_value(item) for item in value]
-    return value
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            default=_tag_bytes)
+_DECODER = json.JSONDecoder(object_hook=_untag_bytes)
 
 
 def encode(obj: Any) -> bytes:
     """Serialise *obj* to canonical bytes."""
-    return json.dumps(_encode_value(obj), sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(obj).encode("utf-8")
 
 
 def decode(data: bytes) -> Any:
     """Inverse of :func:`encode`."""
-    return _decode_value(json.loads(data.decode("utf-8")))
+    return _DECODER.decode(data.decode("utf-8"))

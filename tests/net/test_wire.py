@@ -1,5 +1,6 @@
 """Tests for repro.net.wire."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.net import wire
@@ -57,3 +58,35 @@ class TestEncodeDecode:
     @given(json_values)
     def test_property_deterministic(self, value):
         assert wire.encode(value) == wire.encode(value)
+
+
+class TestGoldenBytes:
+    PAYLOAD = {
+        "query": "café ☃ \U0001F600 \"quoted\"\n",
+        "nested": {"z": (1, 2.5, -0.0, 1e-7, None),
+                   "a": [b"\x00\xff", bytearray(b"ab")]},
+        "key": b"\x01\x02\x03",
+        "flags": [True, False, None],
+        "score": 3.141592653589793,
+        "big": 2**60,
+    }
+    # Sealed sizes, enclave meter charges and the traffic-analysis
+    # figures all depend on these exact bytes.
+    GOLDEN = (
+        b'{"big":1152921504606846976,"flags":[true,false,null],'
+        b'"key":{"__bytes__":"010203"},'
+        b'"nested":{"a":[{"__bytes__":"00ff"},{"__bytes__":"6162"}],'
+        b'"z":[1,2.5,-0.0,1e-07,null]},'
+        b'"query":"caf\\u00e9 \\u2603 \\ud83d\\ude00 \\"quoted\\"\\n",'
+        b'"score":3.141592653589793}')
+
+    def test_encode_is_pinned(self):
+        assert wire.encode(self.PAYLOAD) == self.GOLDEN
+
+    def test_non_encodable_object_raises_type_error(self):
+        with pytest.raises(TypeError):
+            wire.encode({"bad": object()})
+
+    def test_bytes_tag_nested_in_list_decodes_to_bytes(self):
+        decoded = wire.decode(b'[1,{"__bytes__":"beef"},{"k":"v"}]')
+        assert decoded == [1, b"\xbe\xef", {"k": "v"}]

@@ -304,6 +304,20 @@ class TestCli:
         assert set(merged) == set(full)
         assert merged["search"] == full["search"]
 
+    def test_perf_full_run_keeps_opt_in_profile_section(self, tmp_path,
+                                                        capsys):
+        out = str(tmp_path / "bench.json")
+        profile = {"scenario": "search", "samples": 7}
+        perf.write_baseline({"meta": {"schema": 1}, "profile": profile},
+                            out)
+        assert cli_main(["perf", *TINY_FLAGS, "--output", out]) == 0
+        merged = perf.load_baseline(out)
+        # A default run does not measure `profile`; the committed
+        # section survives and every measured section is refreshed.
+        assert merged["profile"] == profile
+        assert merged["meta"]["params"]["history_size"] == 100
+        assert "search" in merged
+
     def test_perf_only_accepts_comma_separated_sections(self, tmp_path,
                                                         capsys):
         out = str(tmp_path / "bench.json")
