@@ -28,7 +28,7 @@ detection (the mitigation discussed in §VI-b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Protocol
+from typing import Any, Callable, Dict, Optional, Protocol, Tuple
 
 from repro.crypto.aead import AeadError, AeadKey, open_ as aead_open, seal as aead_seal
 from repro.crypto.dh import DhKeyPair, DhParams
@@ -41,6 +41,26 @@ from repro.net.transport import NetNode, RequestContext
 
 class TlsError(Exception):
     """Handshake or record-layer failure."""
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed_fields(credential: Any, **types: type) -> Optional[Tuple[Any, ...]]:
+    """The named credential fields, in order, or ``None`` when the
+    credential is not a dict or a field is missing or mistyped — a
+    malformed credential is rejected like a forged one."""
+    if not isinstance(credential, dict):
+        return None
+    values = []
+    for name, expected in types.items():
+        value = credential.get(name)
+        if not (_is_int(value) if expected is int
+                else isinstance(value, expected)):
+            return None
+        values.append(value)
+    return tuple(values)
 
 
 class Authenticator(Protocol):
@@ -74,12 +94,18 @@ class SignatureAuthenticator:
         }
 
     def verify(self, credential: dict, context: bytes) -> bool:
-        if credential.get("scheme") != "rsa-sig":
+        fields = _typed_fields(credential, scheme=str, n=int, e=int,
+                               signature=bytes)
+        if fields is None or fields[0] != "rsa-sig":
             return False
-        public = RsaPublicKey(n=credential["n"], e=credential["e"])
+        _, n, e, signature = fields
+        # A fingerprint packs e into 8 bytes; keep both in key range.
+        if n < 1 or not 0 < e < 1 << 64:
+            return False
+        public = RsaPublicKey(n=n, e=e)
         if not self._trust_anchor(public):
             return False
-        return public.verify(context, credential["signature"])
+        return public.verify(context, signature)
 
 
 class SgxAuthenticator:
@@ -111,16 +137,16 @@ class SgxAuthenticator:
     def verify(self, credential: dict, context: bytes) -> bool:
         from repro.sgx.attestation import AttestationError, Quote, attest_quote
 
-        if credential.get("scheme") != "sgx-quote":
+        fields = _typed_fields(credential, scheme=str, platform_id=int,
+                               measurement=bytes, report_data=bytes,
+                               signature=bytes)
+        if fields is None or fields[0] != "sgx-quote":
             return False
-        if credential["report_data"] != sha256(b"repro.tls:", context):
+        _, platform_id, measurement, report_data, signature = fields
+        if report_data != sha256(b"repro.tls:", context):
             return False
-        quote = Quote(
-            platform_id=credential["platform_id"],
-            measurement=credential["measurement"],
-            report_data=credential["report_data"],
-            signature=credential["signature"],
-        )
+        quote = Quote(platform_id=platform_id, measurement=measurement,
+                      report_data=report_data, signature=signature)
         try:
             attest_quote(self._ias, self._policy, quote)
         except AttestationError:
@@ -206,6 +232,19 @@ class SecureChannelManager:
     def channel(self, peer: str) -> Optional[SecureChannel]:
         return self._channels.get(peer)
 
+    def _parse_hello(self, hello: Any) -> Optional[Tuple[int, dict]]:
+        """``(dh_public, credential)`` of a well-formed hello, or
+        ``None``: not a dict, a field missing or mistyped, or a DH value
+        outside the group's ``[2, p-2]``."""
+        if not isinstance(hello, dict):
+            return None
+        dh_public = hello.get("dh_public")
+        credential = hello.get("credential")
+        if not (_is_int(dh_public) and isinstance(credential, dict)
+                and 2 <= dh_public <= self._dh_params.p - 2):
+            return None
+        return dh_public, credential
+
     def establish(self, peer: str,
                   on_ready: Callable[[SecureChannel], None],
                   on_fail: Optional[Callable[[str], None]] = None,
@@ -230,18 +269,19 @@ class SecureChannelManager:
         def on_reply(response: dict) -> None:
             if entry["done"]:
                 return
-            if not isinstance(response, dict) or "dh_public" not in response:
+            parsed = self._parse_hello(response)
+            if parsed is None:
                 _fail("malformed server hello")
                 return
+            peer_public, credential = parsed
             peer_context = _handshake_context(
-                peer, self._node.address, response["dh_public"])
-            if not self._authenticator.verify(
-                    response["credential"], peer_context):
+                peer, self._node.address, peer_public)
+            if not self._authenticator.verify(credential, peer_context):
                 _fail("peer credential rejected")
                 return
             entry["done"] = True
             self._inflight.pop(peer, None)
-            shared = ephemeral.shared_secret(response["dh_public"])
+            shared = ephemeral.shared_secret(peer_public)
             send_key, recv_key = _directional_keys(shared, initiator=True)
             channel = SecureChannel(peer=peer, send_key=send_key,
                                     recv_key=recv_key)
@@ -266,7 +306,6 @@ class SecureChannelManager:
         """Responder side; returns True if the request was a handshake."""
         if ctx.request.kind != f"{self.kind}.req":
             return False
-        hello = ctx.request.payload
         peer = ctx.request.src
         entry = self._inflight.get(peer)
         if entry is not None and not entry["done"] \
@@ -274,13 +313,17 @@ class SecureChannelManager:
             # Cross-handshake: we are the elected initiator — ignore the
             # peer's hello; our own handshake will serve both sides.
             return True
-        context = _handshake_context(
-            peer, self._node.address, hello["dh_public"])
-        if not self._authenticator.verify(hello["credential"], context):
+        parsed = self._parse_hello(ctx.request.payload)
+        if parsed is None:
+            # Silent drop, as for a forged credential below.
+            return True
+        peer_public, credential = parsed
+        context = _handshake_context(peer, self._node.address, peer_public)
+        if not self._authenticator.verify(credential, context):
             # Silent drop: an unauthenticated initiator learns nothing.
             return True
         ephemeral = DhKeyPair.generate(self._dh_params, rng=self._rng)
-        shared = ephemeral.shared_secret(hello["dh_public"])
+        shared = ephemeral.shared_secret(peer_public)
         send_key, recv_key = _directional_keys(shared, initiator=False)
         channel = SecureChannel(peer=peer, send_key=send_key,
                                 recv_key=recv_key)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from repro.datasets.vocabulary import (
@@ -29,11 +30,12 @@ class Document:
     topic: str
     tokens: Tuple[str, ...]
 
-    @property
+    @cached_property
     def title_terms(self) -> Tuple[str, ...]:
         """The first few distinct tokens act as the page title — the
         only document text a search client sees in result snippets
-        (what OR-based systems filter on)."""
+        (what OR-based systems filter on). Computed once per document:
+        every result page that lists it reuses the tuple."""
         seen = []
         for token in self.tokens:
             if token not in seen:

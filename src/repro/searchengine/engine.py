@@ -26,6 +26,7 @@ byte-identical to the unsharded engine's (see there).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -139,12 +140,16 @@ class SearchEngine:
                 term: math.log((1 + num_docs) / (1 + df)) + 1.0
                 for term, df in term_doc_freq.items()
             }
-        self._idf = idf
         for doc_id, counts in doc_term_counts:
             norm_sq = 0.0
             for term, count in counts.items():
-                weight = (1.0 + math.log(count)) * self._idf[term]
-                self._postings.setdefault(term, []).append((doc_id, weight))
+                term_idf = idf[term]
+                weight = (1.0 + math.log(count)) * term_idf
+                # A posting carries the query-side idf factor already
+                # applied: ranking adds ``idf * weight`` per match, and
+                # folding it here yields the same float.
+                self._postings.setdefault(term, []).append(
+                    (doc_id, term_idf * weight))
                 norm_sq += weight * weight
             self._doc_norms[doc_id] = math.sqrt(norm_sq) or 1.0
 
@@ -183,25 +188,28 @@ class SearchEngine:
         return self._rank(terms, topk)
 
     def _rank(self, terms: Sequence[str], topk: int) -> List[SearchHit]:
-        scores: Dict[int, float] = {}
-        query_terms = [t for t in terms if t in self._postings]
+        postings = self._postings
+        query_terms = [t for t in terms if t in postings]
         if not query_terms:
             return []
+        scores: Dict[int, float] = {}
+        get = scores.get
         for term in query_terms:
-            idf = self._idf[term]
-            for doc_id, weight in self._postings[term]:
-                scores[doc_id] = scores.get(doc_id, 0.0) + idf * weight
-        ranked = sorted(
-            ((score / self._doc_norms[doc_id], doc_id)
-             for doc_id, score in scores.items()),
-            key=lambda pair: (-pair[0], pair[1]))
+            for doc_id, weighted in postings[term]:
+                scores[doc_id] = get(doc_id, 0.0) + weighted
+        norms = self._doc_norms
+        # (-score, doc_id) orders by score descending, ties by doc id;
+        # negating before or after the division gives the same float.
+        top = heapq.nsmallest(
+            topk, [(-score / norms[doc_id], doc_id)
+                   for doc_id, score in scores.items()])
         hits = []
-        for score, doc_id in ranked[:topk]:
+        for neg_score, doc_id in top:
             document = self._documents[doc_id]
-            snippet = tuple(t for t in query_terms
-                            if t in set(document.tokens))[:5]
+            tokens = set(document.tokens)
+            snippet = tuple(t for t in query_terms if t in tokens)[:5]
             hits.append(SearchHit(
-                doc_id=doc_id, url=document.url, score=score,
+                doc_id=doc_id, url=document.url, score=-neg_score,
                 snippet_terms=snippet))
         return hits
 

@@ -1,11 +1,14 @@
 """Tests for repro.crypto.rsa."""
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.rsa import RsaError, RsaKeyPair, is_probable_prime
+from repro.crypto.rsa import (RsaError, RsaKeyPair, _random_prime,
+                              is_probable_prime)
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +110,63 @@ class TestSignatures:
     def test_property_sign_verify_any_message(self, message):
         keypair = RsaKeyPair.generate(bits=512, rng=random.Random(99))
         assert keypair.public.verify(message, keypair.sign(message))
+
+
+class TestCrt:
+    """Private-key operations by CRT: same keys, same results, faults
+    caught before release."""
+
+    # Captured from the full-width pow(m, d, n) implementation.
+    KNOWN_SIGNATURE = (
+        "0d9b4a3474b7784b13f72a55f41e64f91eeff2735e3a024e147dd5dbddaa85c4"
+        "6eb1f9650c1e0c3a8000cdbf28044a01a79780bed471ce4c85ccfc095ed1128d")
+    KNOWN_KEY_SHA256 = (
+        "2170e8d4c886b07f138227366e28c0b844fdff54da2254e2f600894d93191610")
+    KNOWN_NEXT_DRAW = 6802008099978762422
+
+    def test_known_answer_signature(self, keypair):
+        assert keypair.sign(b"repro.rsa known-answer").hex() \
+            == self.KNOWN_SIGNATURE
+
+    def test_generate_keeps_key_and_rng_draws(self):
+        rng = random.Random(42)
+        keypair = RsaKeyPair.generate(bits=512, rng=rng)
+        # The twin makes the draws key generation made before CRT:
+        # two primes per attempt, retried on p == q or e | phi.
+        twin = random.Random(42)
+        while True:
+            p = _random_prime(256, twin)
+            q = _random_prime(256, twin)
+            phi = (p - 1) * (q - 1)
+            if p != q and phi % 65537:
+                break
+        assert rng.getstate() == twin.getstate()
+        assert (keypair.public.n, keypair.d) == (p * q, pow(65537, -1, phi))
+        key = (keypair.public.n, keypair.public.e, keypair.d)
+        assert hashlib.sha256(str(key).encode()).hexdigest() \
+            == self.KNOWN_KEY_SHA256
+        assert rng.getrandbits(64) == self.KNOWN_NEXT_DRAW
+
+    def test_crt_components(self, keypair):
+        p, q = keypair.p, keypair.q
+        assert p * q == keypair.public.n
+        assert keypair.d_p == keypair.d % (p - 1)
+        assert keypair.d_q == keypair.d % (q - 1)
+        assert keypair.q_inv * q % p == 1
+
+    @pytest.mark.parametrize("component", ["d_p", "d_q", "q_inv"])
+    def test_faulty_component_raises(self, keypair, component):
+        faulty = dataclasses.replace(
+            keypair, **{component: getattr(keypair, component) ^ 1})
+        ciphertext = keypair.public.encrypt(b"secret", rng=random.Random(4))
+        with pytest.raises(RsaError, match="consistency check"):
+            faulty.sign(b"message")
+        with pytest.raises(RsaError, match="consistency check"):
+            faulty.decrypt(ciphertext)
+
+    @settings(max_examples=25, deadline=None)
+    @given(payload=st.binary(max_size=2048),
+           seed=st.integers(min_value=0, max_value=2**32))
+    def test_property_encrypt_decrypt_roundtrip(self, keypair, payload, seed):
+        ciphertext = keypair.public.encrypt(payload, rng=random.Random(seed))
+        assert keypair.decrypt(ciphertext) == payload

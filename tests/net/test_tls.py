@@ -215,3 +215,130 @@ class TestSgxAuthenticatedChannels:
                         on_fail=failures.append, timeout=2.0)
         sim.run()
         assert failures == ["peer credential rejected"]
+
+
+# Hellos that are not the dict the handshake expects: each one used to
+# raise out of Simulator.run (KeyError, KeyError, AttributeError,
+# TypeError, in order).
+MALFORMED_HELLOS = [
+    {},
+    {"dh_public": 5},
+    {"dh_public": "x", "credential": {}},
+    ["junk"],
+]
+# Well formed but unauthenticated: dropped silently before and after.
+UNAUTHENTICATED_HELLO = {"dh_public": 5, "credential": {}}
+HELLO_SIZE = 96
+
+
+def _overlay_run(hello):
+    """Send *hello* as an attested-channel request inside a 4-node
+    CYCLOSA overlay and run 5 simulated seconds; returns what a wiretap,
+    the network counters and the clock saw, plus the initiator's
+    replies."""
+    from repro.core.client import CyclosaNetwork
+    from repro.net.trace import MessageTrace
+
+    deployment = CyclosaNetwork.create(num_nodes=4, seed=0)
+    nodes = deployment.nodes
+    simulator = deployment.simulator
+    replies = []
+    with MessageTrace(deployment.network) as trace:
+        nodes[0].request(nodes[1].address, hello, replies.append,
+                         size_bytes=HELLO_SIZE, kind="atls")
+        simulator.run(until=simulator.now + 5.0)
+    stats = deployment.network.stats
+    return {
+        "trace": [(m.time, m.src, m.dst, m.kind, m.size_bytes)
+                  for m in trace],
+        "counters": (stats.messages, stats.bytes, stats.dropped),
+        "events": simulator.events_processed,
+        "now": simulator.now,
+        "replies": replies,
+        "channel": nodes[1].peer_tls.channel(nodes[0].address),
+    }
+
+
+class TestMalformedHello:
+    @pytest.fixture(scope="class")
+    def unauthenticated_run(self):
+        return _overlay_run(UNAUTHENTICATED_HELLO)
+
+    @pytest.mark.parametrize("hello", MALFORMED_HELLOS,
+                             ids=["empty", "no-credential", "str-dh", "list"])
+    def test_responder_drops_malformed_hello(self, hello,
+                                             unauthenticated_run):
+        run = _overlay_run(hello)
+        assert run["replies"] == [] and run["channel"] is None
+        # Exactly what the existing silent drop of an unauthenticated
+        # hello of the same size produces: no reply, nothing else moves.
+        for field in ("trace", "counters", "events", "now"):
+            assert run[field] == unauthenticated_run[field], field
+
+    @pytest.mark.parametrize("server_hello", MALFORMED_HELLOS + [
+        {"dh_public": 1, "credential": {}},
+        {"dh_public": True, "credential": {}},
+        {"dh_public": 5, "credential": "x"},
+    ], ids=["empty", "no-credential", "str-dh", "list", "dh-out-of-range",
+            "bool-dh", "str-credential"])
+    def test_initiator_fails_on_malformed_server_hello(self, net, sim, rng,
+                                                       server_hello):
+        class Responder(NetNode):
+            def handle_request(self, ctx):
+                ctx.respond(server_hello)
+
+        a = TlsNode(net, "a", _sig_manager(rng))
+        Responder(net, "b")
+        ready, failures = [], []
+        a.tls.establish("b", on_ready=ready.append,
+                        on_fail=failures.append, timeout=2.0)
+        sim.run()
+        assert ready == [] and failures == ["malformed server hello"]
+        assert a.tls.channel("b") is None
+
+
+_WRONG_TYPES = ("x", None, 1.5, True, [], {})
+
+
+def _mutations(credential):
+    """Each field removed, then each field given each wrong type (the
+    field's own type skipped)."""
+    for name in credential:
+        yield f"missing {name}", {k: v for k, v in credential.items()
+                                  if k != name}
+        for wrong in _WRONG_TYPES:
+            value = credential[name]
+            if type(wrong) is type(value):
+                continue
+            yield f"{name}={wrong!r}", {**credential, name: wrong}
+
+
+class TestAuthenticatorRejectsMalformedCredential:
+    CONTEXT = b"repro.tls.hs.v1|a|b|\x05"
+
+    def test_signature_credential(self, rng):
+        identity = IdentityKeyPair.generate(bits=512, rng=rng)
+        authenticator = SignatureAuthenticator(identity)
+        credential = authenticator.prove(self.CONTEXT)
+        assert authenticator.verify(credential, self.CONTEXT)
+        for label, broken in _mutations(credential):
+            assert authenticator.verify(broken, self.CONTEXT) is False, label
+        assert authenticator.verify(["junk"], self.CONTEXT) is False
+        for n, e in ((0, 65537), (credential["n"], 0),
+                     (credential["n"], 1 << 64)):
+            assert authenticator.verify(
+                {**credential, "n": n, "e": e}, self.CONTEXT) is False
+
+    def test_sgx_credential(self, rng):
+        ias = IntelAttestationService()
+        policy = MeasurementPolicy()
+        policy.allow_class(TestSgxAuthenticatedChannels.PeerEnclave)
+        host = EnclaveHost(rng)
+        enclave = host.create_enclave(TestSgxAuthenticatedChannels.PeerEnclave)
+        ias.provision_host(host)
+        authenticator = SgxAuthenticator(enclave, host, ias, policy)
+        credential = authenticator.prove(self.CONTEXT)
+        assert authenticator.verify(credential, self.CONTEXT)
+        for label, broken in _mutations(credential):
+            assert authenticator.verify(broken, self.CONTEXT) is False, label
+        assert authenticator.verify(["junk"], self.CONTEXT) is False

@@ -209,6 +209,13 @@ class TestCommittedBaseline:
             assert name in section, name
         assert section["subsystems"]
 
+    def test_profile_gate_passes(self, capsys):
+        # The gate itself, at its default ±5pp tolerance: a change that
+        # shifts subsystem attribution fails here until its PR
+        # re-baselines with `check_profile --update`.
+        status = check_profile.main([])
+        assert status == 0, capsys.readouterr().out
+
 
 class TestCompare:
     def test_no_regression_against_self(self, tiny_results):
